@@ -18,6 +18,7 @@ package detect
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -93,11 +94,6 @@ type Config struct {
 	// MaxLength bounds the number of threads per cycle;
 	// DefaultMaxLength when zero.
 	MaxLength int
-	// NoReduce disables the MagicFuzzer-style pre-pass that iteratively
-	// discards tuples provably outside every cycle (Cai and Chan, ICSE
-	// 2012). Reduction never changes the result; the switch exists for
-	// ablation benchmarks.
-	NoReduce bool
 }
 
 // Cycles finds every potential deadlock in tr.
@@ -109,47 +105,33 @@ func Cycles(tr *trace.Trace, cfg Config) []*Cycle {
 // obs.Recorder, the reduction and the chain search each emit a span
 // ("detect.reduce", "detect.search") with tuple and cycle counts, so
 // the detection cost split is visible per run.
+//
+// The search is the online Engine fed the reduced tuples in trace
+// order. Its cycles are then sorted by the trace positions of their
+// canonical tuples, compared position by position with a prefix first,
+// so they come out in trace order rather than in order of discovery.
 func CyclesCtx(ctx context.Context, tr *trace.Trace, cfg Config) []*Cycle {
-	maxLen := cfg.MaxLength
-	if maxLen <= 0 {
-		maxLen = DefaultMaxLength
-	}
-	tuples := tr.Tuples
-	if !cfg.NoReduce {
-		_, sp := obs.Start(ctx, "detect.reduce")
-		sp.Add("tuples_in", int64(len(tuples)))
-		tuples = Reduce(tuples)
-		sp.Add("tuples_out", int64(len(tuples)))
-		sp.End()
-	}
-	_, sp := obs.Start(ctx, "detect.search")
+	_, sp := obs.Start(ctx, "detect.reduce")
+	sp.Add("tuples_in", int64(len(tr.Tuples)))
+	tuples := Reduce(tr.Tuples)
+	sp.Add("tuples_out", int64(len(tuples)))
+	sp.End()
+
+	_, sp = obs.Start(ctx, "detect.search")
 	defer sp.End()
 	sp.Add("tuples", int64(len(tuples)))
-	d := &detector{maxLen: maxLen}
-	// "Who holds ℓ" postings. When the search runs over the full tuple
-	// list (reduction disabled or nothing removed) the shared trace index
-	// already has them; otherwise build postings over the reduced set so
-	// the chain search never re-explores discarded tuples.
-	if len(tuples) == len(tr.Tuples) {
-		d.heldBy = tr.Index().HeldBy
-	} else {
-		byHeld := make(map[string][]*trace.Tuple)
-		for _, tp := range tuples {
-			for _, h := range tp.Held {
-				byHeld[h.Lock] = append(byHeld[h.Lock], tp)
-			}
-		}
-		d.heldBy = func(lock string) []*trace.Tuple { return byHeld[lock] }
-	}
+	e := NewEngine(cfg)
 	for _, tp := range tuples {
-		if len(tp.Held) == 0 {
-			continue // cannot participate: holds nothing for others to wait on
-		}
-		d.chain = d.chain[:0]
-		d.extend(tp)
+		e.add(tp)
 	}
-	sp.Add("cycles", int64(len(d.found)))
-	return d.found
+	// Arrival numbers grow with trace position, so they order the
+	// cycles as the positions do.
+	slices.SortFunc(e.found, func(a, b run) int {
+		return slices.Compare(e.arena[a.lo:a.hi], e.arena[b.lo:b.hi])
+	})
+	out := e.cycles()
+	sp.Add("cycles", int64(len(out)))
+	return out
 }
 
 // Reduce iteratively removes tuples that cannot belong to any cycle —
@@ -346,48 +328,94 @@ func (r *reducer) push(i int) {
 	}
 }
 
-type detector struct {
+// Engine is the chain search of the Extended Dynamic Cycle Detector,
+// run online. It keeps the "who holds ℓ" postings of every tuple fed so
+// far and, as each tuple arrives, finds the cycles that tuple closes.
+// The search is rooted at the newest tuple: every cycle has a unique
+// last-arriving member, so each cycle is found exactly once, at the
+// earliest moment it is knowable. Found cycles are rotated to canonical
+// form (first tuple on the lexicographically smallest thread).
+//
+// Tuples are known by arrival number, their index in tuples, so the
+// postings and the chain hold no pointers and arrival order is
+// integer order.
+//
+// Cycles runs an Engine over the reduced trace; the stream engine runs
+// one per stream. An Engine is not safe for concurrent use.
+type Engine struct {
 	maxLen int
-	heldBy func(lock string) []*trace.Tuple
-	chain  []*trace.Tuple
-	found  []*Cycle
+	// tuples are the fed tuples that hold a lock, in arrival order.
+	tuples []*trace.Tuple
+	// heldBy[ℓ] lists the arrival numbers of the tuples holding ℓ.
+	heldBy map[string][]int
+	chain  []int
+	// found are the closed chains in canonical rotation: each is a run
+	// of arrival numbers in arena.
+	found []run
+	arena []int
 }
 
-// extend grows the current chain with tp and explores continuations.
-// Invariant: chain[i+1] holds lock(chain[i]); chain[0] has the smallest
-// thread name (rotation canonicalization).
-func (d *detector) extend(tp *trace.Tuple) {
-	d.chain = append(d.chain, tp)
-	defer func() { d.chain = d.chain[:len(d.chain)-1] }()
+// run is arena[lo:hi].
+type run struct{ lo, hi int }
 
-	first := d.chain[0]
-	// Close the cycle: the first tuple holds what the last one wants.
-	if len(d.chain) >= 2 && first.HoldsLock(tp.Lock) {
-		cyc := &Cycle{Tuples: append([]*trace.Tuple(nil), d.chain...)}
-		d.found = append(d.found, cyc)
-		// A longer cycle through the same prefix would reuse tp's thread
-		// differently; keep exploring other extensions but do not extend
-		// past a closing tuple with the same tuple again — continue below
-		// is still valid for longer cycles through different locks.
+// NewEngine returns an empty online detector.
+func NewEngine(cfg Config) *Engine {
+	maxLen := cfg.MaxLength
+	if maxLen <= 0 {
+		maxLen = DefaultMaxLength
 	}
-	if len(d.chain) == d.maxLen {
+	return &Engine{maxLen: maxLen, heldBy: make(map[string][]int)}
+}
+
+// Add feeds the next tuple in trace order and returns the cycles it
+// closes (usually none), in discovery order.
+func (e *Engine) Add(tp *trace.Tuple) []*Cycle {
+	e.found, e.arena = e.found[:0], e.arena[:0]
+	e.add(tp)
+	return e.cycles()
+}
+
+// add runs the search rooted at tp, appending to e.found, then
+// publishes tp's holdings. Publishing after the search keeps a tuple
+// from being its own predecessor in a chain.
+func (e *Engine) add(tp *trace.Tuple) {
+	if len(tp.Held) == 0 {
+		return // holds nothing for others to wait on: in no cycle
+	}
+	seq := len(e.tuples)
+	e.tuples = append(e.tuples, tp)
+	e.extend(seq)
+	for _, h := range tp.Held {
+		e.heldBy[h.Lock] = append(e.heldBy[h.Lock], seq)
+	}
+}
+
+// extend grows the chain with tuple seq and explores continuations.
+// Invariant: chain[i+1] holds lock(chain[i]); the chain closes when
+// chain[0] holds the last tuple's lock.
+func (e *Engine) extend(seq int) {
+	e.chain = append(e.chain, seq)
+	defer func() { e.chain = e.chain[:len(e.chain)-1] }()
+
+	lock := e.tuples[seq].Lock
+	if len(e.chain) >= 2 && e.tuples[e.chain[0]].HoldsLock(lock) {
+		e.found = append(e.found, e.canonical())
+	}
+	if len(e.chain) == e.maxLen {
 		return
 	}
-	for _, next := range d.heldBy(tp.Lock) {
-		if next.Thread <= first.Thread {
-			continue // canonical rotation: chain[0] is the min thread
+	for _, next := range e.heldBy[lock] {
+		if !e.conflicts(e.tuples[next]) {
+			e.extend(next)
 		}
-		if d.conflicts(next) {
-			continue
-		}
-		d.extend(next)
 	}
 }
 
 // conflicts reports whether next violates the distinct-thread or
 // guard-lock conditions against the current chain.
-func (d *detector) conflicts(next *trace.Tuple) bool {
-	for _, tp := range d.chain {
+func (e *Engine) conflicts(next *trace.Tuple) bool {
+	for _, seq := range e.chain {
+		tp := e.tuples[seq]
 		if tp.Thread == next.Thread {
 			return true
 		}
@@ -400,6 +428,40 @@ func (d *detector) conflicts(next *trace.Tuple) bool {
 		}
 	}
 	return false
+}
+
+// canonical copies the closed chain into the arena, rotated so the
+// lexicographically smallest thread comes first. Threads in a cycle are
+// distinct, so the rotation is unique.
+func (e *Engine) canonical() run {
+	minAt := 0
+	for i, seq := range e.chain {
+		if e.tuples[seq].Thread < e.tuples[e.chain[minAt]].Thread {
+			minAt = i
+		}
+	}
+	lo := len(e.arena)
+	e.arena = append(append(e.arena, e.chain[minAt:]...), e.chain[:minAt]...)
+	return run{lo, len(e.arena)}
+}
+
+// cycles materializes the found chains in found order, nil when there
+// are none. The cycles, and their tuple slices, share one allocation each.
+func (e *Engine) cycles() []*Cycle {
+	if len(e.found) == 0 {
+		return nil
+	}
+	tuples := make([]*trace.Tuple, len(e.arena))
+	for i, seq := range e.arena {
+		tuples[i] = e.tuples[seq]
+	}
+	cs := make([]Cycle, len(e.found))
+	out := make([]*Cycle, len(e.found))
+	for i, r := range e.found {
+		cs[i].Tuples = tuples[r.lo:r.hi:r.hi]
+		out[i] = &cs[i]
+	}
+	return out
 }
 
 // Defect groups the cycles that share a source-location signature.

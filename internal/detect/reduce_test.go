@@ -1,4 +1,4 @@
-package detect
+package detect_test
 
 import (
 	"fmt"
@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"wolf/internal/detect"
 	"wolf/internal/trace"
 	"wolf/internal/vclock"
 	"wolf/sim"
@@ -89,7 +90,7 @@ func recordSeed(t *testing.T, f sim.Factory, seed int64) *trace.Trace {
 }
 
 // sigsOf canonicalizes a cycle list for comparison.
-func sigsOf(cycles []*Cycle) []string {
+func sigsOf(cycles []*detect.Cycle) []string {
 	var out []string
 	for _, c := range cycles {
 		keys := make([]string, len(c.Tuples))
@@ -103,6 +104,17 @@ func sigsOf(cycles []*Cycle) []string {
 	return out
 }
 
+// searchAll runs the chain search over tuples with no reduction: the
+// online engine fed every tuple in order.
+func searchAll(tuples []*trace.Tuple) []*detect.Cycle {
+	e := detect.NewEngine(detect.Config{})
+	var out []*detect.Cycle
+	for _, tp := range tuples {
+		out = append(out, e.Add(tp)...)
+	}
+	return out
+}
+
 // TestReduceNeverChangesCycles: the MagicFuzzer reduction is a pure
 // optimization — identical cycles with and without it, across many
 // random programs and schedules.
@@ -111,8 +123,8 @@ func TestReduceNeverChangesCycles(t *testing.T) {
 		f := randomLockProgram(progSeed)
 		for schedSeed := int64(1); schedSeed <= 3; schedSeed++ {
 			tr := recordSeed(t, f, schedSeed)
-			with := sigsOf(Cycles(tr, Config{}))
-			without := sigsOf(Cycles(tr, Config{NoReduce: true}))
+			with := sigsOf(detect.Cycles(tr, detect.Config{}))
+			without := sigsOf(searchAll(tr.Tuples))
 			if len(with) != len(without) {
 				t.Fatalf("prog %d seed %d: %d cycles reduced vs %d unreduced",
 					progSeed, schedSeed, len(with), len(without))
@@ -169,7 +181,7 @@ func TestReduceDiscardsFlatTraffic(t *testing.T) {
 		t.Fatalf("outcome = %v", out)
 	}
 	tr := rec.Finish(0)
-	reduced := Reduce(tr.Tuples)
+	reduced := detect.Reduce(tr.Tuples)
 	// Only x's and y's nested tuples survive: z's C-nesting is
 	// one-sided (z holds A wanting C, but nothing holds C wanting A or
 	// anything z holds... note z holding A wanted by y survives only if
@@ -183,72 +195,81 @@ func TestReduceDiscardsFlatTraffic(t *testing.T) {
 		t.Errorf("reduced to %d tuples, want 2 (the A/B inversion)", len(reduced))
 	}
 	// And the cycles are unchanged.
-	if got := len(Cycles(tr, Config{})); got != 1 {
+	if got := len(detect.Cycles(tr, detect.Config{})); got != 1 {
 		t.Errorf("cycles = %d, want 1", got)
 	}
+}
+
+// chainTraffic is one real A/B inversion among acyclic chain traffic.
+func chainTraffic() (sim.Program, sim.Options) {
+	var locks []*sim.Lock
+	opts := sim.Options{Setup: func(w *sim.World) {
+		for i := 0; i < 9; i++ {
+			locks = append(locks, w.NewLock(fmt.Sprintf("L%d", i)))
+		}
+	}}
+	prog := func(th *sim.Thread) {
+		var hs []*sim.Thread
+		// One real inversion.
+		hs = append(hs, th.Go("x", func(u *sim.Thread) {
+			u.Lock(locks[0], "x1")
+			u.Lock(locks[1], "x2")
+			u.Unlock(locks[1], "x3")
+			u.Unlock(locks[0], "x4")
+		}, "s"))
+		hs = append(hs, th.Go("y", func(u *sim.Thread) {
+			u.Lock(locks[1], "y1")
+			u.Lock(locks[0], "y2")
+			u.Unlock(locks[0], "y3")
+			u.Unlock(locks[1], "y4")
+		}, "s"))
+		// Acyclic chain traffic: thread w nests lock w → lock w+1,
+		// many times. The chains never close into a cycle, but an
+		// unreduced search walks every deep L2→L3→L4→… combination
+		// from each of the repeated tuples; the reduction collapses
+		// the whole family from both ends before the search starts.
+		for w := 2; w < 7; w++ {
+			w := w
+			hs = append(hs, th.Go("noise", func(u *sim.Thread) {
+				for i := 0; i < 20; i++ {
+					u.Lock(locks[w], fmt.Sprintf("n%d.%d", w, i))
+					u.Lock(locks[w+1], fmt.Sprintf("m%d.%d", w, i))
+					u.Unlock(locks[w+1], "u1")
+					u.Unlock(locks[w], "u2")
+				}
+			}, "s"))
+		}
+		for _, h := range hs {
+			th.Join(h, "j")
+		}
+	}
+	return prog, opts
+}
+
+// chainTrafficTrace records chainTraffic under the first-enabled
+// schedule.
+func chainTrafficTrace(tb testing.TB) *trace.Trace {
+	tb.Helper()
+	prog, opts := chainTraffic()
+	vt := vclock.NewTracker()
+	rec := trace.NewRecorder(vt)
+	opts.Listeners = append(opts.Listeners, vt, rec)
+	sim.Run(prog, sim.FirstEnabled{}, opts)
+	return rec.Finish(0)
 }
 
 // BenchmarkDetectReduction measures the chain search with and without
 // the reduction on a traffic-heavy trace.
 func BenchmarkDetectReduction(b *testing.B) {
-	f := func() (sim.Program, sim.Options) {
-		var locks []*sim.Lock
-		opts := sim.Options{Setup: func(w *sim.World) {
-			for i := 0; i < 9; i++ {
-				locks = append(locks, w.NewLock(fmt.Sprintf("L%d", i)))
-			}
-		}}
-		prog := func(th *sim.Thread) {
-			var hs []*sim.Thread
-			// One real inversion.
-			hs = append(hs, th.Go("x", func(u *sim.Thread) {
-				u.Lock(locks[0], "x1")
-				u.Lock(locks[1], "x2")
-				u.Unlock(locks[1], "x3")
-				u.Unlock(locks[0], "x4")
-			}, "s"))
-			hs = append(hs, th.Go("y", func(u *sim.Thread) {
-				u.Lock(locks[1], "y1")
-				u.Lock(locks[0], "y2")
-				u.Unlock(locks[0], "y3")
-				u.Unlock(locks[1], "y4")
-			}, "s"))
-			// Acyclic chain traffic: thread w nests lock w → lock w+1,
-			// many times. The chains never close into a cycle, but an
-			// unreduced search walks every deep L2→L3→L4→… combination
-			// from each of the repeated tuples; the reduction collapses
-			// the whole family from both ends before the search starts.
-			for w := 2; w < 7; w++ {
-				w := w
-				hs = append(hs, th.Go("noise", func(u *sim.Thread) {
-					for i := 0; i < 20; i++ {
-						u.Lock(locks[w], fmt.Sprintf("n%d.%d", w, i))
-						u.Lock(locks[w+1], fmt.Sprintf("m%d.%d", w, i))
-						u.Unlock(locks[w+1], "u1")
-						u.Unlock(locks[w], "u2")
-					}
-				}, "s"))
-			}
-			for _, h := range hs {
-				th.Join(h, "j")
-			}
-		}
-		return prog, opts
-	}
-	prog, opts := f()
-	vt := vclock.NewTracker()
-	rec := trace.NewRecorder(vt)
-	opts.Listeners = append(opts.Listeners, vt, rec)
-	sim.Run(prog, sim.FirstEnabled{}, opts)
-	tr := rec.Finish(0)
+	tr := chainTrafficTrace(b)
 	b.Run("Reduced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Cycles(tr, Config{})
+			detect.Cycles(tr, detect.Config{})
 		}
 	})
 	b.Run("Unreduced", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Cycles(tr, Config{NoReduce: true})
+			searchAll(tr.Tuples)
 		}
 	})
 }
@@ -273,7 +294,7 @@ func chainTuples(n int) []*trace.Tuple {
 // how incremental the fixpoint is.
 func TestReduceChainCascade(t *testing.T) {
 	for _, n := range []int{1, 2, 3, 17, 64} {
-		if got := Reduce(chainTuples(n)); len(got) != 0 {
+		if got := detect.Reduce(chainTuples(n)); len(got) != 0 {
 			t.Fatalf("n=%d: %d tuples survived a pure chain", n, len(got))
 		}
 	}
@@ -288,7 +309,7 @@ func BenchmarkReduce(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := Reduce(tuples); len(got) != 0 {
+				if got := detect.Reduce(tuples); len(got) != 0 {
 					b.Fatal("chain should reduce to nothing")
 				}
 			}

@@ -11,6 +11,8 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"os"
+	"runtime/debug"
 	"sync/atomic"
 	"time"
 
@@ -301,7 +303,8 @@ func (a *Analyzer) materialize(w WorkView) (tr *trace.Trace, wtrc []byte, hash s
 // analysis runs. Losing the lease (renew 409: the coordinator
 // reassigned or finished the job) cancels the analysis and abandons it
 // silently — no completion is sent, so a cancelled run can never
-// terminal-fail a job that now belongs to someone else.
+// terminal-fail a job that now belongs to someone else. A panic in the
+// analysis fails the job and leaves the analyzer running.
 func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 	log := a.cfg.Logger.With("job", w.Job, "source", w.Source, "trace", w.TraceID)
 	log.Info("job leased", "attempts", w.Attempts)
@@ -345,19 +348,10 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 			}
 		}
 	}()
-	stopRenewals := func() {
-		close(renewStop)
-		<-renewDone
-	}
 
-	tr, wtrc, hash, err := a.materialize(w)
-	if err != nil {
-		stopRenewals()
-		a.complete(log, CompleteRequest{Node: a.ID(), Job: w.Job, Error: err.Error()})
-		return
-	}
-	rep, err := a.cfg.Analyze(runCtx, tr, a.cfg.Analysis)
-	stopRenewals()
+	rep, wtrc, hash, err := a.analyze(runCtx, w)
+	close(renewStop)
+	<-renewDone
 	if leaseLost.Load() {
 		// The job is someone else's now; drop the result on the floor.
 		a.abandoned.Add(1)
@@ -389,6 +383,25 @@ func (a *Analyzer) runWork(ctx context.Context, w WorkView) {
 		req.TraceB64 = base64.StdEncoding.EncodeToString(wtrc)
 	}
 	a.complete(log, req)
+}
+
+// analyze materializes the job's trace and runs the analysis. A panic
+// in either becomes an error, so a poison job fails instead of taking
+// the analyzer process down.
+func (a *Analyzer) analyze(ctx context.Context, w WorkView) (rep *core.Report, wtrc []byte, hash string, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			// The stack is node-side diagnostics, not wire payload.
+			os.Stderr.Write(debug.Stack())
+			err = fmt.Errorf("analysis panicked: %v", r)
+		}
+	}()
+	tr, wtrc, hash, err := a.materialize(w)
+	if err != nil {
+		return nil, nil, "", err
+	}
+	rep, err = a.cfg.Analyze(ctx, tr, a.cfg.Analysis)
+	return rep, wtrc, hash, err
 }
 
 // complete delivers one result and logs the coordinator's verdict.

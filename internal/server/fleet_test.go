@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -187,6 +188,42 @@ func TestFleetAnalyzerEndToEnd(t *testing.T) {
 	}
 	if hz["role"] != "coordinator" || hz["nodes"] != float64(1) {
 		t.Fatalf("healthz = %v, want coordinator with 1 node", hz)
+	}
+}
+
+// TestFleetAnalyzerSurvivesPanic: an analysis that panics fails its job
+// after one attempt with the panic value as the error, and the same
+// analyzer process goes on to complete the next job.
+func TestFleetAnalyzerSurvivesPanic(t *testing.T) {
+	_, ts := startServer(t, Config{
+		QueueSize: 8, Role: RoleCoordinator,
+		LeaseTTL: 2 * time.Second, HeartbeatInterval: 50 * time.Millisecond,
+		HeartbeatTimeout: 5 * time.Second,
+	})
+	var calls atomic.Int64
+	a := fleet.NewAnalyzer(fleet.AnalyzerConfig{
+		Coordinator: ts.URL, Name: "poison", Poll: 10 * time.Millisecond,
+		JobTimeout: 15 * time.Second,
+		Analyze: func(ctx context.Context, tr *trace.Trace, cfg core.Config) (*core.Report, error) {
+			if calls.Add(1) == 1 {
+				panic("boom")
+			}
+			return core.AnalyzeTraceCtx(ctx, tr, cfg)
+		},
+	})
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); a.Run(ctx) }()
+	t.Cleanup(func() { cancel(); <-done })
+
+	v := pollJob(t, ts.URL, uploadFig4(t, ts.URL))
+	if v.State != string(StateFailed) || v.Attempts != 1 || v.Error != "analysis panicked: boom" {
+		t.Fatalf("poisoned job = %s attempts=%d error=%q, want failed after 1 attempt with the panic",
+			v.State, v.Attempts, v.Error)
+	}
+	v = pollJob(t, ts.URL, uploadFig4(t, ts.URL))
+	if v.State != string(StateDone) || v.Node != a.ID() {
+		t.Fatalf("next job = %s (%s) on %q, want done by the same analyzer %q", v.State, v.Error, v.Node, a.ID())
 	}
 }
 

@@ -38,41 +38,25 @@ type EngineConfig struct {
 	MaxLength int
 }
 
-// Engine is the incremental half of the Extended Dynamic Cycle
-// Detector: it maintains the lock graph ("who holds ℓ" postings) and
-// per-thread lockset state online, and emits each cycle exactly once —
-// when the tuple that closes it arrives.
-//
-// Equivalence with the batch detector: detect.Cycles roots its chain
-// search at the cycle's minimum-thread tuple and therefore finds each
-// cyclic sequence once. The engine instead roots at the newest tuple η:
-// since stream order is trace order, every cycle has a unique
-// last-arriving member, and rooting there also finds each cyclic
-// sequence exactly once — the same set, discovered online. Candidates
-// are rotated back to the batch-canonical form before emission, so
+// Engine emits stream candidates around the one chain search,
+// detect.Engine: each cycle is reported exactly once, when the tuple
+// that closes it arrives, already in batch-canonical rotation, so
 // fingerprints, signatures, and chain order are byte-identical to the
-// batch path.
+// batch path. On top of the search it fingerprints each cycle and runs
+// the online Pruner.
 //
 // Engine is not safe for concurrent use; the server serializes chunk
 // appends per stream.
 type Engine struct {
-	maxLen int
+	search *detect.Engine
 	clocks []vclock.Vector
-	heldBy map[string][]*trace.Tuple
 	events int
 	total  int
-
-	chain []*trace.Tuple
-	found []*detect.Cycle
 }
 
 // NewEngine returns an empty incremental detector.
 func NewEngine(cfg EngineConfig) *Engine {
-	maxLen := cfg.MaxLength
-	if maxLen <= 0 {
-		maxLen = detect.DefaultMaxLength
-	}
-	return &Engine{maxLen: maxLen, heldBy: make(map[string][]*trace.Tuple)}
+	return &Engine{search: detect.NewEngine(detect.Config{MaxLength: cfg.MaxLength})}
 }
 
 // SetClocks arms the online Pruner with the trace's (S,J) vector-clock
@@ -91,84 +75,14 @@ func (e *Engine) Total() int { return e.total }
 // it closes (usually none). The returned slice is freshly allocated.
 func (e *Engine) Add(tp *trace.Tuple) []Candidate {
 	e.events++
-	if tp == nil || len(tp.Held) == 0 {
-		// Holds nothing: nobody can wait on it, so it can neither extend
-		// nor close a chain (batch detection skips these roots too).
+	if tp == nil {
 		return nil
 	}
-	e.found = e.found[:0]
-	e.chain = e.chain[:0]
-	e.extend(tp)
 	var out []Candidate
-	for _, cyc := range e.found {
+	for _, cyc := range e.search.Add(tp) {
 		out = append(out, e.emit(cyc))
 	}
-	// Publish tp's holdings only after the search: a tuple cannot be
-	// its own predecessor in a chain.
-	for _, h := range tp.Held {
-		e.heldBy[h.Lock] = append(e.heldBy[h.Lock], tp)
-	}
 	return out
-}
-
-// extend grows the chain rooted at the newest tuple. Invariant:
-// chain[i+1] holds lock(chain[i]); closing requires chain[0] to hold
-// the last tuple's wanted lock. Mirrors detector.extend except the
-// root is the arrival-maximal tuple instead of the thread-minimal one.
-func (e *Engine) extend(tp *trace.Tuple) {
-	e.chain = append(e.chain, tp)
-	defer func() { e.chain = e.chain[:len(e.chain)-1] }()
-
-	first := e.chain[0]
-	if len(e.chain) >= 2 && first.HoldsLock(tp.Lock) {
-		e.found = append(e.found, &detect.Cycle{
-			Tuples: canonical(append([]*trace.Tuple(nil), e.chain...)),
-		})
-	}
-	if len(e.chain) == e.maxLen {
-		return
-	}
-	for _, next := range e.heldBy[tp.Lock] {
-		if e.conflicts(next) {
-			continue
-		}
-		e.extend(next)
-	}
-}
-
-// conflicts mirrors detector.conflicts: distinct threads, pairwise
-// disjoint locksets.
-func (e *Engine) conflicts(next *trace.Tuple) bool {
-	for _, tp := range e.chain {
-		if tp.Thread == next.Thread {
-			return true
-		}
-		for _, h := range next.Held {
-			if tp.HoldsLock(h.Lock) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// canonical rotates the chain so the lexicographically smallest thread
-// comes first — the batch detector's canonical form. Threads in a
-// cycle are distinct, so the rotation is unique.
-func canonical(chain []*trace.Tuple) []*trace.Tuple {
-	minAt := 0
-	for i, tp := range chain {
-		if tp.Thread < chain[minAt].Thread {
-			minAt = i
-		}
-	}
-	if minAt == 0 {
-		return chain
-	}
-	rotated := make([]*trace.Tuple, 0, len(chain))
-	rotated = append(rotated, chain[minAt:]...)
-	rotated = append(rotated, chain[:minAt]...)
-	return rotated
 }
 
 // emit materializes a Candidate, running the online Pruner when clocks
