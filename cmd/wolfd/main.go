@@ -118,7 +118,7 @@ func main() {
 		strBudget = flag.Int64("stream-budget", 16, "per-stream decoder memory budget in MiB")
 		data      = flag.Bool("data", false, "enable the value-flow (data dependency) extension")
 		flight    = flag.Int("flight-recorder", 4096, "flight-recorder ring capacity (lifecycle events kept for /v1/debug/events)")
-		par       = flag.Int("analysis-parallelism", 0, "per-job Generator worker pool size (0 = GOMAXPROCS, capped; output is identical at any value)")
+		par       = flag.Int("analysis-parallelism", 0, "per-job per-cycle worker pool size for the Generator and the Replayer (0 = GOMAXPROCS, capped; output is identical at any value)")
 		dataDir   = flag.String("data-dir", "", "persist traces, jobs and defect records in this directory")
 		maxCorpus = flag.Int64("max-corpus-bytes", 0, "trace GC: total stored-trace byte budget (0 = unbounded); unreferenced blobs are pruned oldest-first")
 		traceTTL  = flag.Duration("trace-ttl", 0, "trace GC: expire unreferenced trace blobs older than this (0 = never)")

@@ -104,11 +104,13 @@ type Config struct {
 	// when every steered replay diverges (replay.DefaultFallbackAttempts
 	// when zero; negative disables the fallback pass).
 	FallbackAttempts int
-	// Parallelism bounds the worker pool the Generator phase fans
-	// cycles out on (zero means runtime.GOMAXPROCS(0), capped at
-	// MaxParallelism). Every worker writes only its own cycle's report
-	// slot, so the report is byte-identical at any setting; 1 forces the
-	// sequential path.
+	// Parallelism bounds the per-cycle worker pool that the Generator
+	// and the reproduction stages (the Replayer, and the DeadlockFuzzer
+	// baseline's runs) fan cycles out on (zero means
+	// runtime.GOMAXPROCS(0), capped at MaxParallelism). Every worker
+	// writes only its own cycle's report slot, and every result is a
+	// pure function of the cycle and the configuration, so the report is
+	// byte-identical at any setting; 1 forces the sequential path.
 	Parallelism int
 }
 
@@ -259,7 +261,9 @@ type Timings struct {
 	Prune time.Duration
 	// Generate covers Algorithm 3.
 	Generate time.Duration
-	// Replay covers all reproduction runs.
+	// Replay is the wall time of the reproduction stage. With
+	// Parallelism > 1 cycles replay concurrently, so it is less than
+	// the summed time of the individual runs.
 	Replay time.Duration
 }
 
@@ -519,18 +523,52 @@ func pruneCycles(ctx context.Context, cycles []*CycleReport) {
 	}
 }
 
+// forEachCycle calls fn on every cycle, fanning out across a worker pool
+// bounded by cfg.EffectiveParallelism(); 1 runs the cycles in order on
+// the caller's goroutine. It is the per-cycle pool of the Generator and
+// of both reproduction stages. fn must write only the fields of its own
+// *CycleReport and compute them as a pure function of the cycle, its
+// trace and cfg; obs spans record into the context's mutex-protected
+// recorder. The fan-out is then race-free and the report independent of
+// worker scheduling: results land in original cycle order. Cancellation
+// stops workers between cycles, so cycles not reached are left as they
+// were.
+func forEachCycle(ctx context.Context, cycles []*CycleReport, cfg *Config, fn func(*CycleReport)) {
+	workers := min(cfg.EffectiveParallelism(), len(cycles))
+	if workers <= 1 {
+		for _, cr := range cycles {
+			if ctx.Err() != nil {
+				return
+			}
+			fn(cr)
+		}
+		return
+	}
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				i := int(next.Add(1)) - 1
+				if i >= len(cycles) || ctx.Err() != nil {
+					return
+				}
+				fn(cycles[i])
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // generateCycles runs the Generator (Algorithm 3) over the cycles that
-// survived pruning, fanning out across a worker pool bounded by
-// cfg.EffectiveParallelism(). Each worker writes only the fields of its
-// own *CycleReport, the recorded traces (and their lazily built shared
-// index) are immutable once recording ends, and obs spans record into
-// the context's mutex-protected recorder — so the fan-out is race-free
-// and the report is independent of worker scheduling: results land in
-// the report in original cycle order and every field is a pure function
-// of (cycle, trace, cfg). Cancellation stops workers between cycles;
-// cycles not reached keep their zero (Unknown) class.
+// survived pruning, on the per-cycle pool. The recorded traces (and
+// their lazily built shared index) are immutable once recording ends, so
+// every verdict is a pure function of (cycle, trace, cfg). Cycles not
+// reached after a cancellation keep their zero (Unknown) class.
 func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
-	gen := func(cr *CycleReport) {
+	forEachCycle(ctx, cycles, cfg, func(cr *CycleReport) {
 		if cr.Class == FalseByPruner {
 			return
 		}
@@ -548,36 +586,41 @@ func generateCycles(ctx context.Context, cycles []*CycleReport, cfg *Config) {
 				}
 			}
 		}
+	})
+}
+
+// replayCycles runs the Replayer (Algorithm 4) on every cycle the Pruner
+// and Generator left Unknown, on the per-cycle pool. ReproduceCtx is a
+// pure function of (factory, Gs, cycle, cfg) — it clones Gs per attempt,
+// the factory rebuilds all program state, and attempt i uses seed
+// ReplaySeed+i — so the report is byte-identical at any parallelism.
+// Cycles not reached after a cancellation keep zero attempts and an
+// empty divergence histogram.
+func replayCycles(ctx context.Context, f sim.Factory, cycles []*CycleReport, cfg *Config) {
+	rcfg := replay.Config{
+		Attempts:         cfg.ReplayAttempts,
+		BaseSeed:         cfg.ReplaySeed,
+		MaxSteps:         cfg.MaxSteps,
+		Faults:           cfg.Faults,
+		FallbackAttempts: cfg.FallbackAttempts,
 	}
-	workers := cfg.EffectiveParallelism()
-	if workers > len(cycles) {
-		workers = len(cycles)
-	}
-	if workers <= 1 {
-		for _, cr := range cycles {
-			if ctx.Err() != nil {
-				return
-			}
-			gen(cr)
+	var pending []*CycleReport
+	for _, cr := range cycles {
+		if cr.Class == Unknown {
+			pending = append(pending, cr)
 		}
-		return
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(cycles) || ctx.Err() != nil {
-					return
-				}
-				gen(cycles[i])
-			}
-		}()
-	}
-	wg.Wait()
+	forEachCycle(ctx, pending, cfg, func(cr *CycleReport) {
+		res := replay.ReproduceCtx(ctx, f, cr.Gs, cr.Cycle, rcfg)
+		cr.ReplayAttempts = res.Attempts
+		cr.ReplayMethod = res.Method
+		cr.FallbackAttempts = res.FallbackAttempts
+		cr.Divergence = res.Divergence
+		cr.Faults = res.Faults
+		if res.Reproduced {
+			cr.Class = Confirmed
+		}
+	})
 }
 
 // Analyze runs the full WOLF pipeline on the workload built by f.
@@ -619,28 +662,9 @@ func AnalyzeCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
 	generateCycles(ctx, rep.Cycles, &cfg)
 	sp.End()
 
-	// Replayer (Algorithm 4).
+	// Replayer (Algorithm 4), on the same per-cycle pool.
 	_, sp = obs.Start(ctx, "replay")
-	for _, cr := range rep.Cycles {
-		if cr.Class != Unknown {
-			continue
-		}
-		res := replay.ReproduceCtx(ctx, f, cr.Gs, cr.Cycle, replay.Config{
-			Attempts:         cfg.ReplayAttempts,
-			BaseSeed:         cfg.ReplaySeed,
-			MaxSteps:         cfg.MaxSteps,
-			Faults:           cfg.Faults,
-			FallbackAttempts: cfg.FallbackAttempts,
-		})
-		cr.ReplayAttempts = res.Attempts
-		cr.ReplayMethod = res.Method
-		cr.FallbackAttempts = res.FallbackAttempts
-		cr.Divergence = res.Divergence
-		cr.Faults = res.Faults
-		if res.Reproduced {
-			cr.Class = Confirmed
-		}
-	}
+	replayCycles(ctx, f, rep.Cycles, &cfg)
 	sp.End()
 
 	rep.Timings = TimingsFromRecorder(rec, mark)
@@ -669,18 +693,22 @@ func AnalyzeDFCtx(ctx context.Context, f sim.Factory, cfg Config) *Report {
 	uninstrumented := baseline(ctx, f, &cfg)
 	rep.Cycles = detectAll(ctx, f, &cfg, false)
 
+	// Reproduction runs on the per-cycle pool too, so Fig. 10's
+	// reproduction ratio compares WOLF and DeadlockFuzzer at the same
+	// parallelism.
 	_, sp := obs.Start(ctx, "replay")
-	for _, cr := range rep.Cycles {
-		res := fuzzer.Reproduce(f, cr.Cycle, fuzzer.Config{
-			Attempts: cfg.ReplayAttempts,
-			BaseSeed: cfg.ReplaySeed,
-			MaxSteps: cfg.MaxSteps,
-		})
+	fcfg := fuzzer.Config{
+		Attempts: cfg.ReplayAttempts,
+		BaseSeed: cfg.ReplaySeed,
+		MaxSteps: cfg.MaxSteps,
+	}
+	forEachCycle(ctx, rep.Cycles, &cfg, func(cr *CycleReport) {
+		res := fuzzer.Reproduce(f, cr.Cycle, fcfg)
 		cr.ReplayAttempts = res.Attempts
 		if res.Reproduced {
 			cr.Class = Confirmed
 		}
-	}
+	})
 	sp.End()
 
 	rep.Timings = TimingsFromRecorder(rec, mark)

@@ -66,7 +66,7 @@ func AnalyzeTraceCtx(ctx context.Context, tr *trace.Trace, cfg Config) (*Report,
 	}
 
 	// Generator fan-out across the configured worker pool; see
-	// generateCycles for why the result is schedule-independent.
+	// forEachCycle for why the result is schedule-independent.
 	_, sp = obs.Start(ctx, "generate")
 	generateCycles(ctx, rep.Cycles, &cfg)
 	sp.End()

@@ -1,22 +1,27 @@
 package core_test
 
-// The determinism contract of the Generator fan-out: the JSON report
-// produced at any Config.Parallelism must be byte-identical to the
-// sequential Parallelism=1 run. Wall-clock phase timings can never be
-// byte-stable across runs, so the test first asserts they are populated
-// and then zeroes them before comparing; everything else — cycle order,
-// verdicts, graph sizes, prune reasons, defect grouping — must match
-// exactly. Run under -race (CI does) this also proves the worker pool
-// is data-race free.
+// The determinism contract of the per-cycle fan-out (Generator and
+// Replayer): the JSON report produced at any Config.Parallelism must be
+// byte-identical to the sequential Parallelism=1 run. Wall-clock phase
+// timings can never be byte-stable across runs, so the tests first
+// assert they are populated and then zero them before comparing;
+// everything else — cycle order, verdicts, graph sizes, prune reasons,
+// defect grouping, replay attempts, confirming method, fallback attempts
+// and divergence histograms — must match exactly. Run under -race (CI
+// does) this also proves the worker pool is data-race free.
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"sync/atomic"
 	"testing"
 
 	"wolf/internal/core"
+	"wolf/internal/replay"
 	"wolf/internal/report"
+	"wolf/internal/sdg"
 	"wolf/internal/trace"
 	"wolf/internal/workloads"
 	"wolf/sim"
@@ -150,6 +155,111 @@ func TestAnalyzeTraceParallelDeterminism(t *testing.T) {
 					t.Fatalf("Parallelism=%d report differs from sequential:\n--- p1 ---\n%s\n--- p%d ---\n%s",
 						par, want, par, got)
 				}
+			}
+		})
+	}
+}
+
+func TestAnalyzeParallelDeterminism(t *testing.T) {
+	type tcase struct {
+		name string
+		f    sim.Factory
+		cfg  core.Config
+	}
+	fig9, _ := workloads.ByName("Figure9")
+	arrayList, _ := workloads.ByName("ArrayList")
+	vf := valueFlowFactory(4, 25)
+	cases := []tcase{
+		// Steered confirmations plus one cycle every attempt misses,
+		// which runs the fallback pass and stays unknown.
+		{"Figure9", fig9.New, core.Config{DetectSeeds: terminatingSeeds(t, fig9.New, 4)}},
+		// Twelve cycles, several confirmed only after a wrong-deadlock
+		// miss.
+		{"ArrayList", arrayList.New, core.Config{DetectSeeds: terminatingSeeds(t, arrayList.New, 2)}},
+		// Ablated steering under fault injection: confirmations by the
+		// fallback pass, and the injector's own randomness per attempt.
+		{"ArrayList/ablated+faults", arrayList.New, core.Config{
+			DetectSeeds: terminatingSeeds(t, arrayList.New, 2),
+			EdgeKinds:   sdg.P,
+			Faults:      sim.FaultConfig{Rate: 0.2, Seed: 3},
+		}},
+		// Type-V edges steer loads as well as acquisitions.
+		{"valueflow", vf, core.Config{DetectSeeds: terminatingSeeds(t, vf, 3), DataDependency: true}},
+	}
+
+	verdicts := make(map[string]int)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Parallelism = 1
+			seq := core.Analyze(tc.f, cfg)
+			for _, cr := range seq.Cycles {
+				verdicts[cr.Class.String()+"/"+string(cr.ReplayMethod)]++
+			}
+			want := normalizedReport(t, seq)
+			for _, par := range []int{2, 4, 8} {
+				cfg.Parallelism = par
+				got := normalizedReport(t, core.Analyze(tc.f, cfg))
+				if !bytes.Equal(want, got) {
+					t.Fatalf("Parallelism=%d report differs from sequential:\n--- p1 ---\n%s\n--- p%d ---\n%s",
+						par, want, par, got)
+				}
+			}
+		})
+	}
+	// The cases must keep exercising every replay outcome.
+	for _, v := range []string{"confirmed/steering", "confirmed/fallback", "unknown/"} {
+		if verdicts[v] == 0 {
+			t.Errorf("no cycle with verdict %q across the cases: %v", v, verdicts)
+		}
+	}
+}
+
+// TestAnalyzeReplayCancellation: a context cancelled during the first
+// cycle's replay stops the replay stage. Cycles the pool never reached
+// keep zero attempts and an empty divergence histogram instead of each
+// reporting a "cancelled" run that never happened.
+func TestAnalyzeReplayCancellation(t *testing.T) {
+	wl, _ := workloads.ByName("ArrayList")
+	seed := terminatingSeeds(t, wl.New, 1)[0]
+	// With one detection seed the baseline runs the program three times
+	// and detection records it once, so call five is the first replay
+	// attempt.
+	const firstReplayCall = 5
+	for _, par := range []int{1, 4} {
+		t.Run(fmt.Sprintf("p%d", par), func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var calls atomic.Int64
+			f := func() (sim.Program, sim.Options) {
+				if calls.Add(1) == firstReplayCall {
+					cancel()
+				}
+				return wl.New()
+			}
+			rep := core.AnalyzeCtx(ctx, f, core.Config{DetectSeeds: []int64{seed}, Parallelism: par})
+			if len(rep.Cycles) < 2 {
+				t.Fatalf("need several cycles reaching replay, got %d", len(rep.Cycles))
+			}
+			reached := 0
+			for i, cr := range rep.Cycles {
+				if cr.ReplayAttempts == 0 {
+					if cr.FallbackAttempts != 0 || len(cr.Divergence) != 0 || cr.Class != core.Unknown {
+						t.Errorf("cycle %d not reached but reports %+v", i, cr)
+					}
+					continue
+				}
+				reached++
+				if cr.ReplayAttempts != 1 || cr.Divergence[replay.DivergenceCancelled] != 1 || cr.Class != core.Unknown {
+					t.Errorf("cycle %d: attempts %d divergence %v class %v, want one cancelled attempt",
+						i, cr.ReplayAttempts, cr.Divergence, cr.Class)
+				}
+			}
+			if par == 1 && rep.Cycles[0].ReplayAttempts != 1 {
+				t.Errorf("first cycle reports %d attempts, want the one cancelled run", rep.Cycles[0].ReplayAttempts)
+			}
+			if reached < 1 || reached > par {
+				t.Errorf("%d cycles reached replay, want 1..%d (the runs in flight at cancellation)", reached, par)
 			}
 		})
 	}

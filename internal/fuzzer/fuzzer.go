@@ -103,6 +103,9 @@ type strategy struct {
 	decided map[*sim.Thread]pauseDecision
 	// thrashes counts forced releases when everything was paused.
 	thrashes int
+	// candBuf backs Pick's per-step candidate list, so a scheduling
+	// decision allocates nothing (as in the WOLF Replayer).
+	candBuf []*sim.Thread
 }
 
 // pauseDecision caches one coin flip.
@@ -114,7 +117,7 @@ type pauseDecision struct {
 // Pick pauses in-position threads until every component is covered, then
 // releases the pack into the deadlock; otherwise it schedules randomly.
 func (s *strategy) Pick(_ *sim.World, enabled []*sim.Thread) *sim.Thread {
-	var candidates []*sim.Thread
+	candidates := s.candBuf[:0]
 	for _, t := range enabled {
 		if _, isPaused := s.paused[t]; isPaused {
 			if s.released {
@@ -139,17 +142,17 @@ func (s *strategy) Pick(_ *sim.World, enabled []*sim.Thread) *sim.Thread {
 		}
 		candidates = append(candidates, t)
 	}
+	s.candBuf = candidates
 	if len(candidates) == 0 {
 		// Thrash avoidance: every runnable thread is paused; release a
 		// random one and unfill its component.
 		s.thrashes++
+		// Collected in enabled (thread-creation) order, not map order,
+		// so the seeded draw below picks the same victim on every run.
 		victims := make([]*sim.Thread, 0, len(s.paused))
-		for t := range s.paused {
-			for _, e := range enabled {
-				if e == t {
-					victims = append(victims, t)
-					break
-				}
+		for _, t := range enabled {
+			if _, isPaused := s.paused[t]; isPaused {
+				victims = append(victims, t)
 			}
 		}
 		if len(victims) == 0 {

@@ -125,21 +125,51 @@ type strategy struct {
 	// unsatisfied Gs dependency, and force-release markers — on the
 	// thread tracks of TimelinePid. This is the schedule the replayer
 	// actually imposed, viewable in Perfetto next to the executed ops.
-	tl     *obs.Timeline
-	tlPid  int64
-	paused map[string]bool
-	tids   map[string]int64
+	tl    *obs.Timeline
+	tlPid int64
+	// threads caches per-thread steering state by sim thread ID, so the
+	// per-step path does no name-keyed map lookups.
+	threads []threadState
+	// tids names the threads that ever paused while a timeline is
+	// attached (name → track), for closing slices at the end.
+	tids map[string]int64
+	// allowBuf and holdBuf back Pick's per-step allowed and paused
+	// lists, so a scheduling decision allocates nothing.
+	allowBuf, holdBuf []*sim.Thread
 }
 
-// pauseMark records thread t's steering state flip — the paused map
-// feeds divergence classification — and, when a timeline is attached,
-// opens or closes a "paused" slice. ts is the sim step counter (the
-// logical clock every timeline track shares).
+// threadState is the replayer's view of one thread.
+type threadState struct {
+	// known is set once inCycle has been resolved from the thread name.
+	known, inCycle bool
+	// paused is the steering state pauseMark last recorded; it feeds
+	// divergence classification.
+	paused bool
+}
+
+// state returns t's steering state, resolving cycle membership on first
+// use. The pointer is valid until the next call.
+func (s *strategy) state(t *sim.Thread) *threadState {
+	id := int(t.ID())
+	if id >= len(s.threads) {
+		s.threads = append(s.threads, make([]threadState, id+1-len(s.threads))...)
+	}
+	ts := &s.threads[id]
+	if !ts.known {
+		ts.known, ts.inCycle = true, s.inCycle[t.Name()]
+	}
+	return ts
+}
+
+// pauseMark records thread t's steering state flip and, when a timeline
+// is attached, opens or closes a "paused" slice. ts is the sim step
+// counter (the logical clock every timeline track shares).
 func (s *strategy) pauseMark(t *sim.Thread, site string, ts int64, nowPaused bool) {
-	if s.paused[t.Name()] == nowPaused {
+	st := s.state(t)
+	if st.paused == nowPaused {
 		return
 	}
-	s.paused[t.Name()] = nowPaused
+	st.paused = nowPaused
 	if s.tl == nil {
 		return
 	}
@@ -157,8 +187,8 @@ func (s *strategy) pauseMark(t *sim.Thread, site string, ts int64, nowPaused boo
 // an unsatisfied Gs dependency.
 func (s *strategy) pausedCount() int {
 	n := 0
-	for _, isPaused := range s.paused {
-		if isPaused {
+	for _, ts := range s.threads {
+		if ts.paused {
 			n++
 		}
 	}
@@ -171,9 +201,13 @@ func (s *strategy) pausedCount() int {
 // released at random.
 func (s *strategy) Pick(w *sim.World, enabled []*sim.Thread) *sim.Thread {
 	ts := int64(w.Step())
-	var allowed, paused []*sim.Thread
+	allowed, paused := s.allowBuf[:0], s.holdBuf[:0]
 	for _, t := range enabled {
-		if op := t.Pending(); s.inCycle[t.Name()] && isSteerable(op) && !(isAcquire(op) && t.Holds(op.Lock)) {
+		if !s.state(t).inCycle {
+			allowed = append(allowed, t)
+			continue
+		}
+		if op := t.Pending(); isSteerable(op) && !(isAcquire(op) && t.Holds(op.Lock)) {
 			key := trace.NextKey(s.occ, t.Name(), op.Site)
 			if s.g.Blocked(key) {
 				s.pauseMark(t, op.Site, ts, true)
@@ -184,6 +218,7 @@ func (s *strategy) Pick(w *sim.World, enabled []*sim.Thread) *sim.Thread {
 		s.pauseMark(t, "", ts, false)
 		allowed = append(allowed, t)
 	}
+	s.allowBuf, s.holdBuf = allowed, paused
 	if len(allowed) == 0 {
 		// Algorithm 4 lines 5-7: release a random paused thread so the
 		// run cannot get stuck on unsatisfiable dependencies.
@@ -208,10 +243,10 @@ func (s *strategy) Pick(w *sim.World, enabled []*sim.Thread) *sim.Thread {
 // (executed or skipped); a terminated cycle thread releases all its
 // remaining vertices.
 func (s *strategy) OnEvent(ev sim.Event) {
-	name := ev.Thread.Name()
-	if !s.inCycle[name] {
+	if !s.state(ev.Thread).inCycle {
 		return
 	}
+	name := ev.Thread.Name()
 	switch ev.Op.Kind {
 	case sim.OpLock, sim.OpWaitResume:
 		if ev.Reentrant {
@@ -326,7 +361,6 @@ func attempt(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycle, 
 		occ:     make(map[string]map[string]int),
 		tl:      o.Timeline,
 		tlPid:   o.Pid,
-		paused:  make(map[string]bool),
 		tids:    make(map[string]int64),
 	}
 	for _, tp := range cycle.Tuples {
@@ -357,8 +391,8 @@ func attempt(ctx context.Context, f Factory, g *sdg.Graph, cycle *detect.Cycle, 
 	if st.tl != nil {
 		// Deterministic close order so exports are golden-testable.
 		var open []string
-		for name, isPaused := range st.paused {
-			if isPaused {
+		for name, tid := range st.tids {
+			if st.threads[tid-1].paused {
 				open = append(open, name)
 			}
 		}

@@ -85,7 +85,7 @@ type Metrics struct {
 	// WorkersBusy is the number of workers currently running an
 	// analysis (the /v1/status utilization gauge).
 	WorkersBusy atomic.Int64
-	// AnalysisParallelism is the resolved per-job Generator worker pool
+	// AnalysisParallelism is the resolved per-job per-cycle worker pool
 	// size (core.Config.EffectiveParallelism), set once at startup.
 	AnalysisParallelism atomic.Int64
 

@@ -513,7 +513,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 }
 
-// TestAnalysisParallelismGauge: the resolved Generator pool size is
+// TestAnalysisParallelismGauge: the resolved per-cycle pool size is
 // exported at startup — an explicit setting verbatim, zero resolved via
 // EffectiveParallelism.
 func TestAnalysisParallelismGauge(t *testing.T) {

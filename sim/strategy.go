@@ -6,6 +6,11 @@ import "math/rand"
 // next. Pick is never called with an empty enabled slice; enabled is in
 // thread-creation order. Pick must return one of the enabled threads.
 //
+// enabled is valid only for the duration of Pick: the World refills
+// the same backing array at every scheduling point, so a strategy must
+// not keep the slice (or a subslice of it) across calls. Copy it if a
+// later decision needs it. Pick may pass it down to an inner strategy.
+//
 // Strategies are the extension point the WOLF Replayer and the
 // DeadlockFuzzer baseline plug into: both steer the schedule by choosing
 // (or refusing to choose) threads that are about to acquire locks.

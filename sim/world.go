@@ -34,6 +34,9 @@ type World struct {
 	// compacts it lazily so scheduling cost tracks live threads, not
 	// every thread ever created.
 	active []*Thread
+	// en is the buffer enabled() refills at every scheduling point; the
+	// slice handed to Strategy.Pick aliases it (see Strategy).
+	en     []*Thread
 	locks  []*Lock
 	byLock map[string]*Lock
 	vars   []*Var
@@ -144,9 +147,10 @@ func (w *World) newThread(name string, parent *Thread, prog Program) *Thread {
 
 // enabled returns the parked threads whose pending operation can execute
 // now, in thread-creation order (deterministic for strategies). It also
-// compacts terminated threads out of the active list.
+// compacts terminated threads out of the active list. The result
+// reuses the world's buffer, so it is valid until the next call.
 func (w *World) enabled() []*Thread {
-	var en []*Thread
+	en := w.en[:0]
 	live := w.active[:0]
 	for _, t := range w.active {
 		if t.state == stateDone {
@@ -158,12 +162,13 @@ func (w *World) enabled() []*Thread {
 		}
 	}
 	w.active = live
+	w.en = en
 	return en
 }
 
 // canExecute reports whether t's pending operation would not block.
 func (w *World) canExecute(t *Thread) bool {
-	switch op := t.pending; op.Kind {
+	switch op := &t.pending; op.Kind {
 	case OpLock:
 		return op.Lock.owner == nil || op.Lock.owner == t
 	case OpJoin:
